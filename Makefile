@@ -3,6 +3,7 @@
 # named steps job by job, so every pipeline stage reproduces locally:
 #
 #   make build vet test   - compile, vet, full test suite
+#   make perfbench-vet    - compile and vet the perfbench module
 #   make race             - test suite under the race detector
 #   make fuzz-smoke       - 10s fresh-input fuzz of the instance parsers
 #   make bench-gate       - bench smoke + committed-snapshot drift gate
@@ -25,15 +26,22 @@ TOLERANCE ?= 25
 # past this.
 MEMTOLERANCE ?= 25
 
-.PHONY: ci build vet test race fuzz-smoke bench baseline snapshot bench-smoke bench-compare bench-gate smoke serve-smoke chaos-smoke
+.PHONY: ci build vet perfbench-vet test race fuzz-smoke bench baseline snapshot bench-smoke bench-compare bench-gate smoke serve-smoke chaos-smoke
 
-ci: build vet test race fuzz-smoke smoke serve-smoke chaos-smoke bench-gate
+ci: build vet perfbench-vet test race fuzz-smoke smoke serve-smoke chaos-smoke bench-gate
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a Go module of its own (it replaces steinerforest with
+# ../), so the root `go build ./...` never compiles it; vetting it here
+# catches a root API change that breaks the benchmark. GOPROXY=off keeps
+# it offline: the module needs nothing outside this repository.
+perfbench-vet:
+	cd perfbench && GOPROXY=off $(GO) vet ./...
 
 # Explicit -timeout: the default 10m hides a wedged cancellation or
 # shutdown path behind a long hang; a deadlock in these suites should
@@ -54,7 +62,7 @@ fuzz-smoke:
 
 # Benchmark suite: experiment tables at reduced scale plus the engine
 # allocation profile (BenchmarkEngineFlood reports allocs/op; the
-# ...Goroutines variant is the legacy-transport A/B).
+# ...Parallel variant is the sharded-routing A/B).
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1x ./...
 
@@ -69,11 +77,10 @@ snapshot:
 	$(GO) run ./cmd/dsfbench -json > BENCH_pr10.json
 
 # Short-mode run of the scheduler experiments: asserts the fast paths
-# (E2) and the continuation scheduler (E3) stay bit-identical to their
-# exchange-loop / goroutine-transport references on every solver.
+# (E2) stay bit-identical to their exchange-loop references on every
+# solver.
 bench-smoke:
 	$(GO) run ./cmd/dsfbench -quick -table e2 -json -memprofile bench-e2-heap.pprof >/dev/null
-	$(GO) run ./cmd/dsfbench -quick -table e3 -json -memprofile bench-e3-heap.pprof >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table e5 -json -memprofile bench-e5-heap.pprof >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table s1 -json >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table s2 -json >/dev/null

@@ -2,6 +2,7 @@ package steinerforest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -39,92 +40,28 @@ func BatchSeed(base int64, i int) int64 {
 // and returns one Result per instance, in input order. Each instance
 // runs with its own seed, BatchSeed(spec.Seed, i), so the batch is
 // deterministic: results are bit-identical at every worker count
-// (workers <= 1 runs the sequential reference loop). If any instance
-// fails, the error of the lowest-indexed failure is returned and the
-// results are discarded.
+// (workers <= 1 runs the sequential reference loop). It is
+// SolveBatchSlots over that seed expansion, collapsed to one error: if
+// any instance fails, the error of the lowest-indexed failure is returned
+// and the results are discarded. A solver panic fails its instance with
+// an ErrSolverPanic-wrapped error instead of crashing the caller.
 func SolveBatch(instances []*Instance, spec Spec, workers int) ([]*Result, error) {
 	specs := make([]Spec, len(instances))
 	for i := range instances {
 		specs[i] = spec
 		specs[i].Seed = BatchSeed(spec.Seed, i)
 	}
-	return SolveBatchSpecs(instances, specs, workers)
-}
-
-// SolveBatchSpecs is the worker-pool primitive under SolveBatch: it
-// solves instances[i] with specs[i], so every slot carries its own full
-// Spec (algorithm, epsilon, seed, ...). Because each slot's seed is
-// pinned in its Spec rather than derived from a shared base, slot i is
-// bit-identical to a standalone Solve(instances[i], specs[i]) at every
-// worker count and in any batch composition — the property the serve
-// layer's request coalescing is built on. A slot's Spec.Arena flows
-// through unchanged, so concurrent slots solving the same resident graph
-// share one warm arena pool (each run borrows an arena exclusively;
-// results stay bit-identical, pooled or not). The error contract matches
-// SolveBatch: lowest-indexed failure wins and results are discarded.
-func SolveBatchSpecs(instances []*Instance, specs []Spec, workers int) ([]*Result, error) {
-	if len(instances) != len(specs) {
-		return nil, fmt.Errorf("steinerforest: %d instances but %d specs", len(instances), len(specs))
+	slots, err := SolveBatchSlots(instances, specs, nil, workers, nil)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]*Result, len(instances))
-	solveAt := func(i int) error {
-		res, err := Solve(instances[i], specs[i])
-		if err != nil {
-			return fmt.Errorf("steinerforest: batch instance %d: %w", i, err)
+	results := make([]*Result, len(slots))
+	for i, slot := range slots {
+		if slot.Err != nil {
+			// Re-label the slot's cause: batch callers address instances.
+			return nil, fmt.Errorf("steinerforest: batch instance %d: %w", i, errors.Unwrap(slot.Err))
 		}
-		results[i] = res
-		return nil
-	}
-	if workers <= 1 || len(instances) <= 1 {
-		for i := range instances {
-			if err := solveAt(i); err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-	if workers > len(instances) {
-		workers = len(instances)
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		// firstErr is the error of the lowest failing index, so the
-		// reported failure matches the sequential loop's.
-		firstErr    error
-		firstErrIdx int
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				failed := firstErr != nil
-				mu.Unlock()
-				// After a failure the batch's results are discarded
-				// anyway; stop claiming new work. Indices below the
-				// failure were claimed before it was recorded, so the
-				// lowest-index error contract is unaffected.
-				if failed || i >= len(instances) {
-					return
-				}
-				if err := solveAt(i); err != nil {
-					mu.Lock()
-					if firstErr == nil || i < firstErrIdx {
-						firstErr, firstErrIdx = err, i
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		results[i] = slot.Res
 	}
 	return results, nil
 }
@@ -149,17 +86,22 @@ type SlotResult struct {
 // batch position (fault injectors target slots deterministically by it).
 type SlotFunc func(ctx context.Context, slot int, ins *Instance, spec Spec) (*Result, error)
 
-// SolveBatchSlots is the robust sibling of SolveBatchSpecs: it solves
-// instances[i] with specs[i] under ctxs[i] and reports one SlotResult per
-// slot instead of collapsing the batch to a single error. Slots are
-// independent end to end — a slot that fails, is cancelled (its context
-// fires; the run aborts at the next simulated round boundary), or panics
-// (recovered here, wrapped in ErrSolverPanic) never disturbs the others,
-// and every successful slot is bit-identical to a standalone
-// SolveCtx(ctxs[i], instances[i], specs[i]) at any worker count. ctxs may
-// be nil (every slot runs uncancellable) and individual entries may be
-// nil (that slot runs uncancellable). run selects the per-slot solve
-// (nil = SolveCtx); the panic recovery wraps whatever run does.
+// SolveBatchSlots is the batch worker pool: it solves instances[i] with
+// specs[i] under ctxs[i] and reports one SlotResult per slot instead of
+// collapsing the batch to a single error. Every slot carries its own full
+// Spec (algorithm, epsilon, seed, ...), so a slot's answer does not depend
+// on the batch's composition — the property the serve layer's request
+// coalescing is built on. A slot's Spec.Arena flows through unchanged, so
+// concurrent slots solving the same resident graph share one warm arena
+// pool. Slots are independent end to end — a slot that fails, is
+// cancelled (its context fires; the run aborts at the next simulated
+// round boundary), or panics (recovered here, wrapped in ErrSolverPanic)
+// never disturbs the others, and every successful slot is bit-identical
+// to a standalone SolveCtx(ctxs[i], instances[i], specs[i]) at any worker
+// count. ctxs may be nil (every slot runs uncancellable) and individual
+// entries may be nil (that slot runs uncancellable). run selects the
+// per-slot solve (nil = SolveCtx); the panic recovery wraps whatever run
+// does.
 func SolveBatchSlots(instances []*Instance, specs []Spec, ctxs []context.Context, workers int, run SlotFunc) ([]SlotResult, error) {
 	if len(instances) != len(specs) {
 		return nil, fmt.Errorf("steinerforest: %d instances but %d specs", len(instances), len(specs))

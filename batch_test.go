@@ -1,11 +1,14 @@
 package steinerforest_test
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	steinerforest "steinerforest"
+	"steinerforest/internal/congest"
 	"steinerforest/internal/workload"
 )
 
@@ -114,6 +117,29 @@ func TestSolveBatchErrorLowestIndex(t *testing.T) {
 	}
 }
 
+// TestSolveBatchPanicIsError pins SolveBatch's panic contract: a panic
+// under a solve fails the batch with ErrSolverPanic, naming the lowest
+// failing instance, instead of crashing the caller. The panic is raised
+// from the engine's round hook, so it also unwinds a run with live shard
+// workers.
+func TestSolveBatchPanicIsError(t *testing.T) {
+	instances := batchInstances(t, 3)
+	hooks := &congest.RunHooks{Round: func(int) { panic("injected") }}
+	spec := steinerforest.Spec{Algorithm: "det", NoCertificate: true, Parallelism: 2, Hooks: hooks}
+	for _, workers := range []int{1, 3} {
+		res, err := steinerforest.SolveBatch(instances, spec, workers)
+		if !errors.Is(err, steinerforest.ErrSolverPanic) {
+			t.Fatalf("workers=%d: err = %v, want ErrSolverPanic", workers, err)
+		}
+		if res != nil {
+			t.Errorf("workers=%d: results returned alongside error", workers)
+		}
+		if !strings.Contains(err.Error(), "instance 0") {
+			t.Errorf("workers=%d: error %q should report the lowest failing index", workers, err)
+		}
+	}
+}
+
 func TestSolveBatchEmpty(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		res, err := steinerforest.SolveBatch(nil, steinerforest.Spec{}, workers)
@@ -126,11 +152,11 @@ func TestSolveBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestSolveBatchSpecsSlotIndependence pins the serving contract behind
-// SolveBatchSpecs: slot i answers exactly like a standalone
+// TestSolveBatchSlotsSlotIndependence pins the serving contract behind
+// SolveBatchSlots: slot i answers exactly like a standalone
 // Solve(instances[i], specs[i]) at every worker count, with mixed
 // algorithms, seeds, and epsilons across the batch.
-func TestSolveBatchSpecsSlotIndependence(t *testing.T) {
+func TestSolveBatchSlotsSlotIndependence(t *testing.T) {
 	instances := batchInstances(t, 8)
 	specs := make([]steinerforest.Spec, len(instances))
 	for i := range specs {
@@ -153,27 +179,45 @@ func TestSolveBatchSpecsSlotIndependence(t *testing.T) {
 		reference[i] = res
 	}
 	for _, workers := range []int{0, 1, 3, 8} {
-		got, err := steinerforest.SolveBatchSpecs(instances, specs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		got := solveSlots(t, instances, specs, workers)
 		if !reflect.DeepEqual(got, reference) {
 			t.Errorf("workers=%d: batched slots differ from standalone Solve", workers)
 		}
 	}
 }
 
-// TestSolveBatchSpecsLengthMismatch: instances and specs must pair up.
-func TestSolveBatchSpecsLengthMismatch(t *testing.T) {
+// TestSolveBatchSlotsLengthMismatch: instances, specs and contexts must
+// pair up.
+func TestSolveBatchSlotsLengthMismatch(t *testing.T) {
 	instances := batchInstances(t, 3)
-	specs := make([]steinerforest.Spec, 2)
-	if _, err := steinerforest.SolveBatchSpecs(instances, specs, 2); err == nil {
-		t.Fatal("length mismatch accepted")
+	if _, err := steinerforest.SolveBatchSlots(instances, make([]steinerforest.Spec, 2), nil, 2, nil); err == nil {
+		t.Error("spec length mismatch accepted")
+	}
+	ctxs := make([]context.Context, 2)
+	if _, err := steinerforest.SolveBatchSlots(instances, make([]steinerforest.Spec, 3), ctxs, 2, nil); err == nil {
+		t.Error("context length mismatch accepted")
 	}
 }
 
+// solveSlots runs SolveBatchSlots and fails the test on any slot error.
+func solveSlots(t *testing.T, instances []*steinerforest.Instance, specs []steinerforest.Spec, workers int) []*steinerforest.Result {
+	t.Helper()
+	slots, err := steinerforest.SolveBatchSlots(instances, specs, nil, workers, nil)
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	results := make([]*steinerforest.Result, len(slots))
+	for i, slot := range slots {
+		if slot.Err != nil {
+			t.Fatalf("workers=%d slot %d: %v", workers, i, slot.Err)
+		}
+		results[i] = slot.Res
+	}
+	return results
+}
+
 // TestSolveBatchMatchesSpecsExpansion checks that SolveBatch is exactly
-// SolveBatchSpecs over the documented BatchSeed expansion, so the two
+// SolveBatchSlots over the documented BatchSeed expansion, so the two
 // entry points can never drift apart.
 func TestSolveBatchMatchesSpecsExpansion(t *testing.T) {
 	instances := batchInstances(t, 5)
@@ -187,12 +231,9 @@ func TestSolveBatchMatchesSpecsExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSpecs, err := steinerforest.SolveBatchSpecs(instances, specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaBatch, viaSpecs) {
-		t.Error("SolveBatch diverges from SolveBatchSpecs over the BatchSeed expansion")
+	viaSlots := solveSlots(t, instances, specs, 4)
+	if !reflect.DeepEqual(viaBatch, viaSlots) {
+		t.Error("SolveBatch diverges from SolveBatchSlots over the BatchSeed expansion")
 	}
 }
 

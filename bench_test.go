@@ -3,7 +3,8 @@ package steinerforest_test
 // One testing.B benchmark per table/figure of the evaluation, wrapping the
 // experiment runners of internal/bench at a reduced scale so `go test
 // -bench=.` regenerates every result quickly; `go run ./cmd/dsfbench`
-// produces the full-size tables recorded in EXPERIMENTS.md.
+// produces the full-size tables (bench.Index lists them; the recorded
+// results are the committed BENCH_*.json snapshots).
 
 import (
 	"math/rand"
@@ -63,7 +64,7 @@ func BenchmarkDistributedDeterministic(b *testing.B) {
 	ins := benchInstance(48, 3, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steinerforest.SolveDeterministic(ins); err != nil {
+		if _, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "det"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,7 +74,7 @@ func BenchmarkDistributedRandomized(b *testing.B) {
 	ins := benchInstance(48, 3, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steinerforest.SolveRandomized(ins, false, steinerforest.WithSeed(int64(i+1))); err != nil {
+		if _, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "rand", Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

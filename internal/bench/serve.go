@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"sort"
 	"strconv"
@@ -71,14 +72,15 @@ func (p RetryPolicy) delay(reqIdx, attempt, hintS int) time.Duration {
 	return d/2 + time.Duration(j%uint64(d))
 }
 
-// postSolve sends one request and classifies the outcome; on non-200 the
-// parsed Retry-After hint (whole seconds, 0 when absent) rides along.
-func postSolve(client *http.Client, url string, req serve.SolveRequest) (*serve.SolveResponse, int, int, error) {
+// postSolve sends one request to the scoped solve route of the instance
+// it names and classifies the outcome; on non-200 the parsed Retry-After
+// hint (whole seconds, 0 when absent) rides along.
+func postSolve(client *http.Client, base string, req serve.SolveRequest) (*serve.SolveResponse, int, int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	resp, err := client.Post(url+"/solve", "application/json", bytes.NewReader(body))
+	resp, err := client.Post(base+"/v1/instances/"+url.PathEscape(req.Instance)+"/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -21,11 +21,10 @@
 // suspended stacks, so an active node-round costs two coroutine switches
 // and no channel operations, no runtime-scheduler wakeups, and no futex
 // traffic; with WithParallelism(p) a fixed pool of p workers drives
-// disjoint node ranges. WithGoroutines(true) selects the legacy transport
-// instead — one goroutine per node, blocking on channels — kept as the
-// compatibility shim for hosting blocking programs off the engine's stack
-// and as the reference the stress and equivalence suites compare against:
-// both schedulers produce bit-identical Stats and deliveries.
+// disjoint node ranges. Run itself is three steps: setup (options, arena,
+// return-port table, hosts and their coroutines, shard workers), the round
+// loop, and teardown (workers closed, suspended programs unwound, arena
+// returned).
 //
 // The round scheduler is event-driven and allocation-free on its hot path.
 // Nodes that have nothing to say park instead of spinning: Host.Idle(k)
@@ -131,9 +130,8 @@ var ErrRoundLimit = errors.New("congest: round limit exceeded")
 var ErrAsleep = errors.New("congest: every live node is asleep with nothing to wake it")
 
 // ErrCancelled is returned when the run's context (WithContext) is
-// cancelled: the engine aborts cooperatively at the next round boundary,
-// under both the continuation and the legacy goroutine scheduler. The
-// returned error wraps both this sentinel and the context's own error,
+// cancelled: the engine aborts cooperatively at the next round boundary.
+// The returned error wraps both this sentinel and the context's own error,
 // so errors.Is matches either ErrCancelled or context.Canceled/
 // context.DeadlineExceeded.
 var ErrCancelled = errors.New("congest: run cancelled")
@@ -145,7 +143,6 @@ type options struct {
 	trackEdges  bool
 	parallelism int
 	noFastPath  bool
-	goroutines  bool
 	noWindow    bool
 	pool        *ArenaPool
 	ctx         context.Context
@@ -206,20 +203,11 @@ func WithFastPath(on bool) Option { return func(o *options) { o.noFastPath = !on
 // exist without the fast paths).
 func WithWindowRelay(on bool) Option { return func(o *options) { o.noWindow = !on } }
 
-// WithGoroutines selects the legacy node transport: one goroutine per node
-// blocking on channels, instead of the default continuation scheduler that
-// drives suspended node programs in-place. The observable behavior — Stats
-// and every delivered message — is bit-identical under both transports
-// (the scheduler stress and equivalence tests pin this); the goroutine
-// path remains as the compatibility shim and the A/B reference.
-func WithGoroutines(on bool) Option { return func(o *options) { o.goroutines = on } }
-
 // WithContext attaches a cancellation context to the run. The engine
 // checks it at every round boundary — including inside the bulk
 // window-relay and clock-jump paths — and aborts with ErrCancelled
-// (wrapping ctx's cause) when it fires, under both schedulers. A run
-// that is never cancelled is bit-identical to one without a context:
-// the check reads a channel non-blockingly and touches no engine state
+// (wrapping ctx's cause) when it fires. A run that is never cancelled is
+// bit-identical to one without a context: the check reads a channel non-blockingly and touches no engine state
 // (the equivalence suite pins this). Cancellation is cooperative at
 // round granularity: a node program blocked inside one round's work is
 // not preempted, exactly like the MaxRounds budget.
@@ -280,44 +268,24 @@ type Host struct {
 	// replaces a heap allocation per park/stand/relay call.
 	ext subExt
 
-	// Continuation transport (the default): yield suspends the program
-	// mid-call, handing the submission to the scheduler; resumeIn carries
-	// the inbox of the resume that follows.
-	coro     bool
+	// yield suspends the program mid-call, handing the submission to the
+	// scheduler; resumeIn carries the inbox of the resume that follows.
 	yield    func(submission) bool
 	resumeIn []Recv
-
-	// Legacy goroutine transport (WithGoroutines): the program runs on its
-	// own goroutine and blocks on a channel round trip per submission.
-	submit chan<- submission
-	reply  chan []Recv
-	abort  <-chan struct{}
 }
 
 // transact hands one submission to the scheduler and suspends the node's
-// program until the engine resumes it, returning the resume inbox. On the
-// continuation transport this is a direct coroutine switch: yield parks the
-// program's whole stack as the continuation and returns the submission to
-// the scheduler's next(); the engine writes the inbox into resumeIn before
-// switching back in. On the legacy transport it is a channel round trip. A
-// false yield (or a closed abort channel) means the run is failing; the
-// program unwinds via the abort sentinel.
+// program until the engine resumes it, returning the resume inbox. This is
+// a direct coroutine switch: yield parks the program's whole stack as the
+// continuation and returns the submission to the scheduler's next(); the
+// engine writes the inbox into resumeIn before switching back in. A false
+// yield means the run is failing; the program unwinds via the abort
+// sentinel.
 func (h *Host) transact(sub submission) []Recv {
-	if h.coro {
-		if !h.yield(sub) {
-			panic(abortSentinel{})
-		}
-		return h.resumeIn
-	}
-	// The submit channel holds one slot per node and every node has at most
-	// one submission in flight, so this send never blocks.
-	h.submit <- sub
-	select {
-	case in := <-h.reply:
-		return in
-	case <-h.abort:
+	if !h.yield(sub) {
 		panic(abortSentinel{})
 	}
+	return h.resumeIn
 }
 
 // ID returns this node's identifier.
@@ -561,7 +529,7 @@ func (h *Host) Await(kind uint16, expect int) []Recv {
 // that is neither the stream's source nor a point of deviation.
 //
 // dstPorts must be strictly ascending (which also guarantees one send per
-// port per round); both schedulers reject violations by failing the run.
+// port per round); with or without the fast paths, violations fail the run.
 func (h *Host) Relay(srcPort int, dstPorts []int, endKind uint16) (relayed, last []Recv) {
 	return h.relay(srcPort, dstPorts, endKind, false)
 }
@@ -664,9 +632,9 @@ const (
 // submission is one node's per-round message to the scheduler: the
 // continuation state a suspended program yields — what it sent plus its
 // resume condition. The hot case (an exchange) must stay small — it is
-// copied by value for every node round (and through a channel on the
-// legacy transport) — so the parameters of the rare parking kinds live
-// behind a pointer into the host's reusable parameter block.
+// copied by value for every node round — so the parameters of the rare
+// parking kinds live behind a pointer into the host's reusable parameter
+// block.
 type submission struct {
 	node int
 	kind uint8
@@ -676,14 +644,14 @@ type submission struct {
 }
 
 type subExt struct {
-	wakeAt    int // subPark: resume at this completed-round count; -1 = none
-	wakeOnMsg bool
-	hbPort    int    // subStand: heartbeat port
-	hbWire    Wire   // subStand: heartbeat payload
-	hbN       int    // subStand: expected echoes per heartbeat round
-	hbMask    uint64 // subStand: ramp-up beat mask
-	hbMaskLen int    // subStand: number of masked heartbeat rounds
-	hbWait    bool   // subStand: waiting order (no beats; wake on full count)
+	wakeAt       int // subPark: resume at this completed-round count; -1 = none
+	wakeOnMsg    bool
+	hbPort       int    // subStand: heartbeat port
+	hbWire       Wire   // subStand: heartbeat payload
+	hbN          int    // subStand: expected echoes per heartbeat round
+	hbMask       uint64 // subStand: ramp-up beat mask
+	hbMaskLen    int    // subStand: number of masked heartbeat rounds
+	hbWait       bool   // subStand: waiting order (no beats; wake on full count)
 	relayDst     []int  // subRelay: forwarding ports, ascending
 	relayEnd     uint16 // subRelay: stream-terminating wire kind
 	relayThrough bool   // subRelay: forward the end marker too (RelayStream)
@@ -827,13 +795,13 @@ type engine struct {
 	n     int
 	o     options
 	stats *Stats
+	ar    *arena // the storage behind the tables below; pooled or fresh
 	hosts []Host // host arena: one in-place block per node
 
-	// Continuation transport: per-node resume/stop handles of the
-	// suspended programs, the per-shard submissions recorded by the drive
-	// passes, the submissions recorded by serial wakes, and the reusable
-	// collection buffer the round loop processes.
-	coro       bool
+	// Per-node resume/stop handles of the suspended programs, the
+	// per-shard submissions recorded by the drive passes, the submissions
+	// recorded by serial wakes, and the reusable collection buffer the
+	// round loop processes.
 	next       []func() (submission, bool)
 	stopFn     []func()
 	pend       [][]submission
@@ -844,10 +812,10 @@ type engine struct {
 	parkStamp []uint32 // bumped on every park/wake; validates wake entries
 	wakeAt    []int    // parked node's deadline (-1 = none)
 	wake      wakeHeap
-	stand    []standing // per node: heartbeat order (valid when modeStand); lazy
-	standIdx []int32    // beating stander's position in its emit list (-1 waiting)
-	emit     [2][]int32 // beating standers by heartbeat parity: the due lists
-	hitStand []int32    // standers delivered to this round — together with the
+	stand     []standing // per node: heartbeat order (valid when modeStand); lazy
+	standIdx  []int32    // beating stander's position in its emit list (-1 waiting)
+	emit      [2][]int32 // beating standers by heartbeat parity: the due lists
+	hitStand  []int32    // standers delivered to this round — together with the
 	//                      round parity's due list, the only ones checkStanders
 	//                      must visit
 	relays   []relaying // per node: relay order (valid when modeRelay); lazy
@@ -914,14 +882,27 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		return nil, fmt.Errorf("%w: bandwidth %d bits is below the widest registered wire kind %d (%d bits); raise the budget to at least %d",
 			ErrBandwidth, o.bandwidth, kind, bits, bits)
 	}
-	n := g.N()
 	stats := &Stats{}
 	if o.trackEdges {
 		stats.EdgeBits = make([]int64, g.M())
 	}
-	if n == 0 {
+	if g.N() == 0 {
 		return stats, nil
 	}
+	e := setup(g, program, o, stats)
+	defer e.teardown()
+	if err := e.roundLoop(); err != nil {
+		return nil, err
+	}
+	return stats, nil
+}
+
+// setup builds a run's engine: it acquires the arena (from the pool when
+// one is attached), builds the return-port table, creates one host and one
+// suspended coroutine per node, and starts the shard workers when p > 1.
+// No program has run yet when setup returns.
+func setup(g *graph.Graph, program Program, o options, stats *Stats) *engine {
+	n := g.N()
 	p := o.parallelism
 	if p < 1 {
 		p = 1
@@ -931,76 +912,39 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	}
 	o.parallelism = p
 
-	coro := !o.goroutines
-	var subCh chan submission
-	var abort chan struct{}
-	aborted := false
-	if !coro {
-		subCh = make(chan submission, n)
-		abort = make(chan struct{})
-		defer func() {
-			if !aborted {
-				close(abort)
-			}
-		}()
-	}
-
 	e := &engine{
 		n:         n,
 		o:         o,
 		stats:     stats,
-		coro:      coro,
 		runnable:  n,
 		live:      n,
 		shardSubs: make([][]int32, p),
 		woken:     make([][]int32, p),
 		window:    !o.noWindow && !o.noFastPath,
 		buckets:   make([][]routed, p),
+		pend:      make([][]submission, p),
 	}
 	// The engine's per-port tables are flat arenas over the graph's CSR
 	// offsets; the standing/relay order tables are allocated lazily, on the
 	// first protocol that parks a node that way. With WithArenaPool the
 	// whole arena is recycled across runs (reset by generation bump, not
-	// reallocation) — except on the legacy goroutine transport, whose
-	// aborted node goroutines can outlive Run and must never see their
-	// Host blocks handed to a later run.
+	// reallocation).
 	base := g.Offsets()
 	e.base = base
 	P := int(base[n])
 	setupStart := time.Now()
-	pool := o.pool
-	if !coro {
-		pool = nil
-	}
-	var ar *arena
 	warmArena := false
-	if pool != nil {
-		ar, warmArena = pool.get(n, P)
-		defer func() {
-			ar.detach(e)
-			pool.put(ar)
-		}()
+	if o.pool != nil {
+		e.ar, warmArena = o.pool.get(n, P)
 	} else {
-		ar = newArena(n, P)
+		e.ar = newArena(n, P)
 	}
-	if coro && ar.next == nil {
+	ar := e.ar
+	if ar.next == nil {
 		ar.next = make([]func() (submission, bool), n)
 		ar.stopFn = make([]func(), n)
 	}
 	ar.attach(e)
-	if coro {
-		e.pend = make([][]submission, p)
-		// Belt and braces: release any still-suspended continuation on the
-		// way out (normal exits and fails have already done so; this keeps
-		// an engine bug from leaking parked coroutine stacks). Joins any
-		// in-flight shard workers first — a panic between dispatch and the
-		// round's wg.Wait must not let stopAll race a worker's resume of
-		// the same coroutine.
-		defer func() {
-			e.wg.Wait()
-			e.stopAll()
-		}()
-	}
 	for v := 0; v < n; v++ {
 		e.shardOf[v] = int32(v * p / n)
 	}
@@ -1035,16 +979,8 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 			ports:   g.Neighbors(v),
 			rngSeed: o.seed + int64(v)*0x9E3779B9,
 			fast:    !o.noFastPath,
-			coro:    coro,
 		}
-		if coro {
-			e.next[v], e.stopFn[v] = iter.Pull(nodeSeq(h, program))
-		} else {
-			h.submit = subCh
-			h.reply = make(chan []Recv, 1)
-			h.abort = abort
-			go runNode(h, program, subCh)
-		}
+		e.next[v], e.stopFn[v] = iter.Pull(nodeSeq(h, program))
 	}
 	if p > 1 {
 		e.start = make([]chan struct{}, p)
@@ -1058,197 +994,75 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 				}
 			}()
 		}
-		defer func() {
-			for w := 1; w < p; w++ {
-				close(e.start[w])
-			}
-		}()
 	}
-	if pool != nil {
-		pool.recordSetup(warmArena, int64(time.Since(setupStart)))
+	if o.pool != nil {
+		o.pool.recordSetup(warmArena, int64(time.Since(setupStart)))
 	}
+	return e
+}
 
-	fail := func(err error) (*Stats, error) {
-		aborted = true
-		if coro {
-			e.stopAll()
-		} else {
-			close(abort)
-		}
-		return nil, err
+// teardown releases what setup acquired, on every exit of Run — success,
+// a failed run, or a panic out of the round loop. The shard workers are
+// closed and joined first, so a panic between dispatch and the round's
+// wg.Wait cannot let stopAll race a worker's resume of the same coroutine.
+// Then every still-suspended program is unwound (normal exits have already
+// released theirs; a failed run leaves them parked), and the arena goes
+// back to its pool.
+func (e *engine) teardown() {
+	for w := 1; w < len(e.start); w++ {
+		close(e.start[w])
 	}
-
-	if coro {
-		// Start every program, running each up to its first submission.
-		// From here on the nodes are suspended continuations that the
-		// round loop resumes in-place.
-		for v := 0; v < n; v++ {
-			e.resume(v, 0, nil, &e.serialPend)
-		}
+	e.wg.Wait()
+	e.stopAll()
+	if e.o.pool != nil {
+		e.ar.detach(e)
+		e.o.pool.put(e.ar)
 	}
+}
 
+// roundLoop starts every program, then runs rounds until all of them have
+// returned. Each round takes in the submissions the programs yielded,
+// jumps the clock when every live node is parked, carries relay-only
+// windows engine-side, and otherwise routes the round's sends in a serial
+// pass and hands delivery — and with it node execution — to the shard
+// pass.
+func (e *engine) roundLoop() error {
+	o, stats := &e.o, e.stats
+	// Start every program, running each up to its first submission. From
+	// here on the nodes are suspended continuations that the round loop
+	// resumes in-place.
+	for v := 0; v < e.n; v++ {
+		e.resume(v, 0, nil, &e.serialPend)
+	}
 	for e.live > 0 {
-		// Round-boundary abort: shared by both schedulers (the legacy
-		// transport reaches here once per round too). The nil-channel
-		// guard keeps context-free runs on the exact pre-context path.
+		// Round-boundary abort. The nil-channel guard keeps context-free
+		// runs on the exact pre-context path.
 		if o.ctxDone != nil {
 			select {
 			case <-o.ctxDone:
-				return fail(cancelErr(o.ctx))
+				return cancelErr(o.ctx)
 			default:
 			}
 		}
 		if o.hooks != nil && o.hooks.Round != nil {
 			o.hooks.Round(stats.Rounds)
 		}
-		subsIn := e.collect(subCh)
-		exch := 0
-		for si := range subsIn {
-			s := subsIn[si]
-			switch s.kind {
-			case subErr:
-				return fail(s.err)
-			case subDone:
-				e.live--
-				e.runnable--
-				e.mode[s.node] = modeDone
-				e.parkStamp[s.node]++
-				if coro {
-					e.release(s.node)
-				}
-			case subPark:
-				x := s.ext
-				e.runnable--
-				if x.wakeOnMsg {
-					e.mode[s.node] = modeSleep
-				} else {
-					e.mode[s.node] = modeIdle
-				}
-				e.parkStamp[s.node]++
-				e.wakeAt[s.node] = x.wakeAt
-				if x.wakeAt >= 0 {
-					e.wake.push(wakeEntry{round: x.wakeAt, node: int32(s.node), stamp: e.parkStamp[s.node]})
-				}
-			case subStand:
-				v := s.node
-				x := s.ext
-				if x.hbMaskLen < 0 || x.hbMaskLen > 64 {
-					return fail(fmt.Errorf("congest: node %d standing by with mask length %d", v, x.hbMaskLen))
-				}
-				if e.stand == nil {
-					e.stand = make([]standing, n)
-					e.standIdx = make([]int32, n)
-				}
-				st := standing{
-					expectN:  int32(x.hbN),
-					phase:    uint8((stats.Rounds + 1) % 2),
-					waiting:  x.hbWait,
-					maskLen:  uint8(x.hbMaskLen),
-					mask:     x.hbMask,
-					beatBase: stats.Rounds + 1,
-					wire:     x.hbWire,
-				}
-				if !x.hbWait {
-					// An emitting order sends on the node's behalf: validate
-					// everything now that the engine will not re-check per
-					// round.
-					h := &e.hosts[v]
-					if x.hbPort < 0 || x.hbPort >= len(h.ports) {
-						return fail(fmt.Errorf("congest: node %d standing by on invalid port %d", v, x.hbPort))
-					}
-					b, ok := wireBits(x.hbWire)
-					if !ok {
-						return fail(fmt.Errorf("congest: node %d standing by with unregistered wire kind %d", v, x.hbWire.Kind))
-					}
-					if b > o.bandwidth {
-						return fail(fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, o.bandwidth, v))
-					}
-					st.port = int32(x.hbPort)
-					st.dst = h.ports[x.hbPort].To
-					st.dstPort = e.returnPort[e.base[v]+int32(x.hbPort)]
-					st.edge = h.ports[x.hbPort].Index
-					st.bits = int32(b)
-				}
-				e.runnable--
-				e.mode[v] = modeStand
-				e.parkStamp[v]++
-				e.stand[v] = st
-				if st.waiting {
-					e.standIdx[v] = -1
-				} else {
-					e.standIdx[v] = int32(len(e.emit[st.phase]))
-					e.emit[st.phase] = append(e.emit[st.phase], int32(v))
-				}
-			case subRelay:
-				v := s.node
-				x := s.ext
-				h := &e.hosts[v]
-				if x.hbPort < 0 || x.hbPort >= len(h.ports) {
-					return fail(fmt.Errorf("congest: node %d relaying from invalid port %d", v, x.hbPort))
-				}
-				if e.relays == nil {
-					e.relays = make([]relaying, n)
-				}
-				rl := &e.relays[v]
-				rl.srcPort = int32(x.hbPort)
-				rl.endKind = x.relayEnd
-				rl.through = x.relayThrough
-				rl.hasPend = false
-				rl.finalPend = false
-				rl.finalSent = false
-				rl.buf = nil // the previous buffer was handed to the node
-				rl.dsts = rl.dsts[:0]
-				prev := -1
-				for _, p := range x.relayDst {
-					if p < 0 || p >= len(h.ports) || p <= prev {
-						return fail(fmt.Errorf("congest: node %d relaying to invalid ports %v", v, x.relayDst))
-					}
-					prev = p
-					rl.dsts = append(rl.dsts, relayDest{
-						dst:     h.ports[p].To,
-						dstPort: e.returnPort[e.base[v]+int32(p)],
-						edge:    h.ports[p].Index,
-					})
-				}
-				e.runnable--
-				e.mode[v] = modeRelay
-				e.parkStamp[v]++
-			default:
-				e.subs[s.node] = s
-				sh := e.shardOf[s.node]
-				e.shardSubs[sh] = append(e.shardSubs[sh], int32(s.node))
-				exch++
-			}
+		exch, err := e.intake(e.collect())
+		if err != nil {
+			return err
 		}
 		beating := e.relPend > 0 || e.heartbeatsDue()
 		if exch == 0 && !beating {
 			if e.live == 0 {
 				break
 			}
-			// Every live node is parked and no standing order fires this
-			// round: jump the clock to the next event. The skipped rounds
-			// are exactly the rounds in which every node would have
-			// exchanged nothing.
-			r, ok := e.nextWake()
-			if len(e.emit[0])+len(e.emit[1]) > 0 && (!ok || r > stats.Rounds+1) {
-				// All beating orders are off-parity this round, so the
-				// next heartbeat fires one round from now. (Waiting orders
-				// never fire: silent rounds cannot deviate them, so they
-				// are safe to jump across.)
-				r, ok = stats.Rounds+1, true
+			if err := e.jumpClock(); err != nil {
+				return err
 			}
-			if !ok {
-				return fail(ErrAsleep)
-			}
-			if r > o.maxRounds {
-				return fail(fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds))
-			}
-			stats.Rounds = r
-			e.wakeDue(r)
 			continue
 		}
 		if stats.Rounds >= o.maxRounds {
-			return fail(fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds))
+			return fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds)
 		}
 		if exch == 0 && e.relPend > 0 && len(e.emit[0])+len(e.emit[1]) == 0 && e.window {
 			// Relay-only rounds: every message this round is a forward
@@ -1259,7 +1073,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 			// normal path below on the next loop iteration.
 			done, err := e.relayWindow()
 			if err != nil {
-				return fail(err)
+				return err
 			}
 			if done > 0 {
 				continue
@@ -1269,91 +1083,265 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 			e.emitRelays()
 			e.emitHeartbeats()
 		}
-		// Serial pass: validate, account, and route every send. All stats
-		// are order-independent sums and maxima and every message lands in
-		// a slot keyed by (destination, port), so the arrival order of
-		// submissions cannot influence the outcome. With p == 1 messages
-		// are placed immediately; otherwise they are handed to the
-		// destination shard's bucket. Sleeping destinations are flipped to
-		// runnable here (serially, hence deterministically); their inbox is
-		// delivered by the shard pass below.
-		for w := 0; w < p; w++ {
-			for _, v32 := range e.shardSubs[w] {
-				v := int(v32)
-				h := &e.hosts[v]
-				outs := e.subs[v].out
-				for si := range outs {
-					snd := &outs[si] // by pointer: Send is 6 words
-					if snd.Port < 0 || snd.Port >= len(h.ports) {
-						return fail(fmt.Errorf("congest: node %d sent on invalid port %d", v, snd.Port))
-					}
-					pb := e.base[v] + int32(snd.Port)
-					if e.sentGen[pb] == e.gen {
-						return fail(fmt.Errorf("congest: node %d sent twice on port %d in one round", v, snd.Port))
-					}
-					e.sentGen[pb] = e.gen
-					var b int
-					switch {
-					case snd.Msg != nil && snd.Wire.Kind != 0:
-						return fail(fmt.Errorf("congest: node %d sent both Msg and Wire on port %d", v, snd.Port))
-					case snd.Msg != nil:
-						b = snd.Msg.Bits()
-					case snd.Wire.Kind != 0:
-						var ok bool
-						if b, ok = wireBits(snd.Wire); !ok {
-							return fail(fmt.Errorf("congest: node %d sent unregistered wire kind %d", v, snd.Wire.Kind))
-						}
-					default:
-						return fail(fmt.Errorf("congest: node %d sent nil message", v))
-					}
-					if b > o.bandwidth {
-						return fail(fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, o.bandwidth, v))
-					}
-					e.deliver(int(h.ports[snd.Port].To), int(e.returnPort[pb]),
-						int(h.ports[snd.Port].Index), b, snd.Msg, &snd.Wire)
-				}
-			}
+		if err := e.route(); err != nil {
+			return err
 		}
 		stats.Rounds++
-		// Sharded placement + delivery; shard 0 runs on this goroutine.
-		// Workers whose shard has nothing this round — no placements, no
-		// exchanging nodes, no woken sleepers — are not signaled at all:
-		// through a deep sparse phase an idle shard's worker sits on its
-		// start channel across the whole stretch instead of paying two
-		// channel operations per round, which is what makes p > 1 cheap
-		// on the paper's mostly-quiet round structure.
-		if p > 1 {
-			busy := 0
+		e.shardPass()
+	}
+	return nil
+}
+
+// intake applies the round's submissions to the scheduler state: returns
+// and parks update the node's mode, standing orders are validated and
+// installed, and exchanges are queued on their destination shard for the
+// serial routing pass. It returns the number of exchanges; a node error
+// fails the run.
+func (e *engine) intake(subs []submission) (int, error) {
+	exch := 0
+	for si := range subs {
+		s := subs[si]
+		switch s.kind {
+		case subErr:
+			return 0, s.err
+		case subDone:
+			e.live--
+			e.runnable--
+			e.mode[s.node] = modeDone
+			e.parkStamp[s.node]++
+			e.release(s.node)
+		case subPark:
+			x := s.ext
+			e.runnable--
+			if x.wakeOnMsg {
+				e.mode[s.node] = modeSleep
+			} else {
+				e.mode[s.node] = modeIdle
+			}
+			e.parkStamp[s.node]++
+			e.wakeAt[s.node] = x.wakeAt
+			if x.wakeAt >= 0 {
+				e.wake.push(wakeEntry{round: x.wakeAt, node: int32(s.node), stamp: e.parkStamp[s.node]})
+			}
+		case subStand:
+			if err := e.parkStand(s.node, s.ext); err != nil {
+				return 0, err
+			}
+		case subRelay:
+			if err := e.parkRelay(s.node, s.ext); err != nil {
+				return 0, err
+			}
+		default:
+			e.subs[s.node] = s
+			sh := e.shardOf[s.node]
+			e.shardSubs[sh] = append(e.shardSubs[sh], int32(s.node))
+			exch++
+		}
+	}
+	return exch, nil
+}
+
+// parkStand installs node v's standing heartbeat order.
+func (e *engine) parkStand(v int, x *subExt) error {
+	if x.hbMaskLen < 0 || x.hbMaskLen > 64 {
+		return fmt.Errorf("congest: node %d standing by with mask length %d", v, x.hbMaskLen)
+	}
+	if e.stand == nil {
+		e.stand = make([]standing, e.n)
+		e.standIdx = make([]int32, e.n)
+	}
+	st := standing{
+		expectN:  int32(x.hbN),
+		phase:    uint8((e.stats.Rounds + 1) % 2),
+		waiting:  x.hbWait,
+		maskLen:  uint8(x.hbMaskLen),
+		mask:     x.hbMask,
+		beatBase: e.stats.Rounds + 1,
+		wire:     x.hbWire,
+	}
+	if !x.hbWait {
+		// An emitting order sends on the node's behalf: validate
+		// everything now that the engine will not re-check per
+		// round.
+		h := &e.hosts[v]
+		if x.hbPort < 0 || x.hbPort >= len(h.ports) {
+			return fmt.Errorf("congest: node %d standing by on invalid port %d", v, x.hbPort)
+		}
+		b, ok := wireBits(x.hbWire)
+		if !ok {
+			return fmt.Errorf("congest: node %d standing by with unregistered wire kind %d", v, x.hbWire.Kind)
+		}
+		if b > e.o.bandwidth {
+			return fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, e.o.bandwidth, v)
+		}
+		st.port = int32(x.hbPort)
+		st.dst = h.ports[x.hbPort].To
+		st.dstPort = e.returnPort[e.base[v]+int32(x.hbPort)]
+		st.edge = h.ports[x.hbPort].Index
+		st.bits = int32(b)
+	}
+	e.runnable--
+	e.mode[v] = modeStand
+	e.parkStamp[v]++
+	e.stand[v] = st
+	if st.waiting {
+		e.standIdx[v] = -1
+	} else {
+		e.standIdx[v] = int32(len(e.emit[st.phase]))
+		e.emit[st.phase] = append(e.emit[st.phase], int32(v))
+	}
+	return nil
+}
+
+// parkRelay installs node v's relay order.
+func (e *engine) parkRelay(v int, x *subExt) error {
+	h := &e.hosts[v]
+	if x.hbPort < 0 || x.hbPort >= len(h.ports) {
+		return fmt.Errorf("congest: node %d relaying from invalid port %d", v, x.hbPort)
+	}
+	if e.relays == nil {
+		e.relays = make([]relaying, e.n)
+	}
+	rl := &e.relays[v]
+	rl.srcPort = int32(x.hbPort)
+	rl.endKind = x.relayEnd
+	rl.through = x.relayThrough
+	rl.hasPend = false
+	rl.finalPend = false
+	rl.finalSent = false
+	rl.buf = nil // the previous buffer was handed to the node
+	rl.dsts = rl.dsts[:0]
+	prev := -1
+	for _, p := range x.relayDst {
+		if p < 0 || p >= len(h.ports) || p <= prev {
+			return fmt.Errorf("congest: node %d relaying to invalid ports %v", v, x.relayDst)
+		}
+		prev = p
+		rl.dsts = append(rl.dsts, relayDest{
+			dst:     h.ports[p].To,
+			dstPort: e.returnPort[e.base[v]+int32(p)],
+			edge:    h.ports[p].Index,
+		})
+	}
+	e.runnable--
+	e.mode[v] = modeRelay
+	e.parkStamp[v]++
+	return nil
+}
+
+// jumpClock handles a round in which every live node is parked and no
+// standing order fires: it jumps the clock to the next event. The skipped
+// rounds are exactly the rounds in which every node would have exchanged
+// nothing.
+func (e *engine) jumpClock() error {
+	stats := e.stats
+	r, ok := e.nextWake()
+	if len(e.emit[0])+len(e.emit[1]) > 0 && (!ok || r > stats.Rounds+1) {
+		// All beating orders are off-parity this round, so the
+		// next heartbeat fires one round from now. (Waiting orders
+		// never fire: silent rounds cannot deviate them, so they
+		// are safe to jump across.)
+		r, ok = stats.Rounds+1, true
+	}
+	if !ok {
+		return ErrAsleep
+	}
+	if r > e.o.maxRounds {
+		return fmt.Errorf("%w (%d)", ErrRoundLimit, e.o.maxRounds)
+	}
+	stats.Rounds = r
+	e.wakeDue(r)
+	return nil
+}
+
+// route is the serial pass: validate, account, and route every send. All
+// stats are order-independent sums and maxima and every message lands in a
+// slot keyed by (destination, port), so the arrival order of submissions
+// cannot influence the outcome. With p == 1 messages are placed
+// immediately; otherwise they are handed to the destination shard's
+// bucket. Sleeping destinations are flipped to runnable here (serially,
+// hence deterministically); their inbox is delivered by the shard pass.
+func (e *engine) route() error {
+	for w := range e.shardSubs {
+		for _, v32 := range e.shardSubs[w] {
+			v := int(v32)
+			h := &e.hosts[v]
+			outs := e.subs[v].out
+			for si := range outs {
+				snd := &outs[si] // by pointer: Send is 6 words
+				if snd.Port < 0 || snd.Port >= len(h.ports) {
+					return fmt.Errorf("congest: node %d sent on invalid port %d", v, snd.Port)
+				}
+				pb := e.base[v] + int32(snd.Port)
+				if e.sentGen[pb] == e.gen {
+					return fmt.Errorf("congest: node %d sent twice on port %d in one round", v, snd.Port)
+				}
+				e.sentGen[pb] = e.gen
+				var b int
+				switch {
+				case snd.Msg != nil && snd.Wire.Kind != 0:
+					return fmt.Errorf("congest: node %d sent both Msg and Wire on port %d", v, snd.Port)
+				case snd.Msg != nil:
+					b = snd.Msg.Bits()
+				case snd.Wire.Kind != 0:
+					var ok bool
+					if b, ok = wireBits(snd.Wire); !ok {
+						return fmt.Errorf("congest: node %d sent unregistered wire kind %d", v, snd.Wire.Kind)
+					}
+				default:
+					return fmt.Errorf("congest: node %d sent nil message", v)
+				}
+				if b > e.o.bandwidth {
+					return fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, e.o.bandwidth, v)
+				}
+				e.deliver(int(h.ports[snd.Port].To), int(e.returnPort[pb]),
+					int(h.ports[snd.Port].Index), b, snd.Msg, &snd.Wire)
+			}
+		}
+	}
+	return nil
+}
+
+// shardPass performs the round's sharded placement and delivery (shard 0
+// runs on the engine goroutine), settles the parked standing orders, and
+// closes the round. Workers whose shard has nothing this round — no
+// placements, no exchanging nodes, no woken sleepers — are not signaled
+// at all: through a deep sparse phase an idle shard's worker sits on its
+// start channel across the whole stretch instead of paying two channel
+// operations per round, which is what makes p > 1 cheap on the paper's
+// mostly-quiet round structure.
+func (e *engine) shardPass() {
+	p := e.o.parallelism
+	if p > 1 {
+		busy := 0
+		for w := 1; w < p; w++ {
+			if e.shardBusy(w) {
+				busy++
+			}
+		}
+		if busy > 0 {
+			e.wg.Add(busy)
 			for w := 1; w < p; w++ {
 				if e.shardBusy(w) {
-					busy++
-				}
-			}
-			if busy > 0 {
-				e.wg.Add(busy)
-				for w := 1; w < p; w++ {
-					if e.shardBusy(w) {
-						e.start[w] <- struct{}{}
-					}
+					e.start[w] <- struct{}{}
 				}
 			}
 		}
-		e.runShard(0)
-		if p > 1 {
-			e.wg.Wait()
-		}
-		e.checkStanders()
-		e.checkRelayers()
-		for w := 0; w < p; w++ {
-			e.buckets[w] = e.buckets[w][:0]
-			e.shardSubs[w] = e.shardSubs[w][:0]
-			e.runnable += len(e.woken[w])
-			e.woken[w] = e.woken[w][:0]
-		}
-		e.gen++
-		e.wakeDue(stats.Rounds)
 	}
-	return stats, nil
+	e.runShard(0)
+	if p > 1 {
+		e.wg.Wait()
+	}
+	e.checkStanders()
+	e.checkRelayers()
+	for w := 0; w < p; w++ {
+		e.buckets[w] = e.buckets[w][:0]
+		e.shardSubs[w] = e.shardSubs[w][:0]
+		e.runnable += len(e.woken[w])
+		e.woken[w] = e.woken[w][:0]
+	}
+	e.gen++
+	e.wakeDue(e.stats.Rounds)
 }
 
 // heartbeatsDue reports whether any standing order fires in the round
@@ -1438,12 +1426,7 @@ func (e *engine) wakeRun(v int, wokeRound int, in []Recv) {
 	e.mode[v] = modeRun
 	e.parkStamp[v]++
 	e.runnable++
-	if e.coro {
-		e.resume(v, wokeRound, in, &e.serialPend)
-		return
-	}
-	e.hosts[v].wokeRound = wokeRound
-	e.hosts[v].reply <- in
+	e.resume(v, wokeRound, in, &e.serialPend)
 }
 
 // emitRelays performs the relay orders' forwards due this round — the
@@ -1644,7 +1627,6 @@ func (e *engine) relayWindow() (int, error) {
 	windowRounds.Add(int64(done))
 	return done, nil
 }
-
 
 // windowRounds counts rounds driven by the window relay across all runs —
 // a test-only observability hook (see TestRelayWindowDrain).
@@ -1891,8 +1873,7 @@ func (e *engine) inbox(v int) []Recv {
 
 // runShard places the shard's routed messages into destination inbox slots
 // and delivers each exchanging node's port-ordered inbox, plus the inboxes
-// of sleepers its mail woke up. On the continuation transport delivery IS
-// execution: the worker switches into each node's suspended program with
+// of sleepers its mail woke up. Delivery IS execution: the worker switches into each node's suspended program with
 // its inbox and records the submission the program yields next, so node
 // code for this shard runs here, on the worker's stack. Shards own
 // disjoint destination ranges (and disjoint continuations), so workers
@@ -1902,49 +1883,30 @@ func (e *engine) runShard(w int) {
 		e.place(int(rt.dst), int(rt.dstPort), rt.msg, &rt.wire)
 	}
 	cur := e.stats.Rounds
-	if e.coro {
-		sink := &e.pend[w]
-		for _, v32 := range e.shardSubs[w] {
-			v := int(v32)
-			e.resume(v, cur, e.inbox(v), sink)
-		}
-		for _, v32 := range e.woken[w] {
-			v := int(v32)
-			e.resume(v, cur, e.inbox(v), sink)
-		}
-		return
-	}
+	sink := &e.pend[w]
 	for _, v32 := range e.shardSubs[w] {
 		v := int(v32)
-		e.hosts[v].reply <- e.inbox(v)
+		e.resume(v, cur, e.inbox(v), sink)
 	}
 	for _, v32 := range e.woken[w] {
 		v := int(v32)
-		e.hosts[v].wokeRound = cur
-		e.hosts[v].reply <- e.inbox(v)
+		e.resume(v, cur, e.inbox(v), sink)
 	}
 }
 
 // collect gathers the round's submissions into the reusable processing
-// buffer: on the continuation transport they were already recorded by the
-// resume passes (per shard in drive order, then the serial wakes); on the
-// legacy transport one is received per runnable node, in channel-arrival
-// order. All submission processing is order-independent in its observable
-// effects, so the two orders yield identical runs.
-func (e *engine) collect(subCh <-chan submission) []submission {
+// buffer. They were already recorded by the resume passes: per shard in
+// drive order, then the serial wakes. All submission processing is
+// order-independent in its observable effects, so the order in which the
+// shards drove their nodes cannot change the run.
+func (e *engine) collect() []submission {
 	buf := e.collected[:0]
-	if e.coro {
-		for w := range e.pend {
-			buf = append(buf, e.pend[w]...)
-			e.pend[w] = e.pend[w][:0]
-		}
-		buf = append(buf, e.serialPend...)
-		e.serialPend = e.serialPend[:0]
-	} else {
-		for i, expect := 0, e.runnable; i < expect; i++ {
-			buf = append(buf, <-subCh)
-		}
+	for w := range e.pend {
+		buf = append(buf, e.pend[w]...)
+		e.pend[w] = e.pend[w][:0]
 	}
+	buf = append(buf, e.serialPend...)
+	e.serialPend = e.serialPend[:0]
 	e.collected = buf
 	return buf
 }
@@ -1987,8 +1949,7 @@ func (e *engine) stopAll() {
 // exits without a terminal submission.
 var errAborted = errors.New("congest: aborted")
 
-// nodeSeq adapts a node program to the continuation transport: the program
-// runs inside a runtime coroutine, yielding one submission per blocking
+// nodeSeq adapts a node program to the scheduler: the program runs inside a runtime coroutine, yielding one submission per blocking
 // call, plus a terminal subDone (or subErr) when it returns (or panics).
 func nodeSeq(h *Host, program Program) func(func(submission) bool) {
 	return func(yield func(submission) bool) {
@@ -2018,17 +1979,4 @@ func runProtected(h *Host, program Program) (err error) {
 	}()
 	program(h)
 	return nil
-}
-
-// runNode hosts a node program on its own goroutine — the legacy
-// transport's per-node loop.
-func runNode(h *Host, program Program, subCh chan<- submission) {
-	switch err := runProtected(h, program); {
-	case err == nil:
-		subCh <- submission{node: h.id, kind: subDone}
-	case errors.Is(err, errAborted):
-		// Engine already failing; exit quietly.
-	default:
-		subCh <- submission{node: h.id, kind: subErr, err: err}
-	}
 }

@@ -9,14 +9,15 @@ import (
 )
 
 // Scheduler stress: randomized wake/park/send interleavings across many
-// nodes and rounds, replayed under every scheduler configuration — the
-// continuation transport and the legacy goroutine transport, fast paths on
-// and off, serial and sharded routing. Every configuration must produce
-// identical Stats AND an identical per-node observation trace (a digest of
-// every delivered message with its round, port, sender and payload), so a
-// divergence anywhere in the park/wake/standing-order machinery is caught
-// at the exact node it corrupts. The whole test runs under -race in CI,
-// which additionally checks the worker-pool handoffs of both transports.
+// nodes and rounds, replayed under every scheduler configuration — fast
+// paths on and off, window relay on and off, serial and sharded routing.
+// Every configuration must produce identical Stats AND an identical
+// per-node observation trace (a digest of every delivered message with its
+// round, port, sender and payload) to the reference, the plain Exchange
+// loops (fast paths off, serial), so a divergence anywhere in the
+// park/wake/standing-order machinery is caught at the exact node it
+// corrupts. The whole test runs under -race in CI, which additionally
+// checks the worker-pool handoffs.
 
 const stressWireKind uint16 = 110 // 64-bit stress payload
 
@@ -70,21 +71,17 @@ func stressProgram(trace []uint64, steps int, seed int64) Program {
 }
 
 // stressConfigs is the scheduler configuration grid the traces must agree
-// across.
+// across. The first entry, the Exchange-loop semantics, is the reference.
 var stressConfigs = []struct {
 	name string
 	opts []Option
 }{
-	{"cont/fast/p1", nil},
-	{"cont/fast/p8", []Option{WithParallelism(8)}},
-	{"cont/fast/nowin/p1", []Option{WithWindowRelay(false)}},
-	{"cont/fast/nowin/p8", []Option{WithWindowRelay(false), WithParallelism(8)}},
-	{"cont/nofast/p1", []Option{WithFastPath(false)}},
-	{"cont/nofast/p8", []Option{WithFastPath(false), WithParallelism(8)}},
-	{"goro/fast/p1", []Option{WithGoroutines(true)}},
-	{"goro/fast/p8", []Option{WithGoroutines(true), WithParallelism(8)}},
-	{"goro/nofast/p1", []Option{WithGoroutines(true), WithFastPath(false)}},
-	{"goro/nofast/p8", []Option{WithGoroutines(true), WithFastPath(false), WithParallelism(8)}},
+	{"nofast/p1", []Option{WithFastPath(false)}},
+	{"nofast/p8", []Option{WithFastPath(false), WithParallelism(8)}},
+	{"fast/p1", nil},
+	{"fast/p8", []Option{WithParallelism(8)}},
+	{"fast/nowin/p1", []Option{WithWindowRelay(false)}},
+	{"fast/nowin/p8", []Option{WithWindowRelay(false), WithParallelism(8)}},
 }
 
 // TestSchedulerStress replays random interleavings on several topologies
@@ -139,7 +136,7 @@ func TestSchedulerStress(t *testing.T) {
 // behavior across the configuration grid.
 func TestSchedulerStressStandingOrders(t *testing.T) {
 	const leaves = 9
-	g := graph.Star(leaves + 1, graph.UnitWeights)
+	g := graph.Star(leaves+1, graph.UnitWeights)
 	beat := Wire{Kind: stressWireKind, C: 1}
 	for seed := int64(1); seed <= 3; seed++ {
 		program := func(trace []uint64) Program {

@@ -24,7 +24,7 @@ func errIsCancel(err error) bool {
 }
 
 // batchKey groups requests that may share one dispatch. Seed and epsilon
-// stay per-slot (SolveBatchSpecs carries a full Spec per instance), so
+// stay per-slot (SolveBatchSlots carries a full Spec per instance), so
 // the key only holds the knobs that change the pool's execution profile.
 type batchKey struct {
 	algorithm   string

@@ -127,7 +127,7 @@ func (c *solveCache) insertLocked(key steinerforest.Spec, res *steinerforest.Res
 	c.bytes += ent.bytes
 }
 
-// usage snapshots the cache gauges for /statsz.
+// usage snapshots the cache gauges for /v1/statsz.
 func (c *solveCache) usage() (bytes int64, entries int, evictions uint64) {
 	c.mu.Lock()
 	bytes, entries = c.bytes, len(c.entries)

@@ -14,13 +14,13 @@ import (
 	"steinerforest/internal/workload"
 )
 
-// SolveRequest is the solve body (POST /v1/instances/{name}/solve, or
-// the legacy POST /solve with Instance set). Every field maps onto the
-// corresponding Spec knob and is validated at admission (Spec.Validate
-// plus the strict epsilon parser), so malformed requests fail with 400
-// and a precise message instead of a late solver error.
+// SolveRequest is the solve body (POST /v1/instances/{name}/solve).
+// Every field maps onto the corresponding Spec knob and is validated at
+// admission (Spec.Validate plus the strict epsilon parser), so malformed
+// requests fail with 400 and a precise message instead of a late solver
+// error.
 type SolveRequest struct {
-	Instance    string `json:"instance,omitempty"` // redundant on the /v1 path-scoped route
+	Instance    string `json:"instance,omitempty"`  // optional; when set it must match the path
 	Algorithm   string `json:"algorithm,omitempty"` // "" = det
 	Eps         string `json:"eps,omitempty"`       // "num/den", e.g. "1/2"
 	Seed        int64  `json:"seed,omitempty"`
@@ -132,7 +132,7 @@ type DemandUpdateResponse struct {
 // {"error":{"code","message","retry_after_s"}}.
 const (
 	codeBadRequest  = "bad_request"       // 400: malformed body, unknown knob, invalid event
-	codeNotFound    = "not_found"         // 404: no resident instance by that name
+	codeNotFound    = "not_found"         // 404: no resident instance by that name, or no such route
 	codeQueueFull   = "queue_full"        // 429: admission queue full; retry_after_s set
 	codeDraining    = "draining"          // 503: shutdown in progress
 	codeCancelled   = "cancelled"         // 503: cancelled (client gone, or force-abort at shutdown)
@@ -207,10 +207,9 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 //	GET  /v1/healthz                   200 "ok", 503 "draining" once Shutdown began
 //	GET  /v1/statsz                    metrics snapshot (queue depth, in-flight, p50/p99, ...)
 //
-// The pre-versioning paths (POST /solve with the instance named in the
-// body, /instances, /healthz, /statsz) remain as thin aliases onto the
-// same handlers; the routing test pins the equivalence. All error
-// responses share the ErrorEnvelope shape.
+// Any other method or path, including the pre-versioning /solve,
+// /instances, /healthz and /statsz, is a 404. All error responses share
+// the ErrorEnvelope shape.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/instances/{name}/solve", s.handleSolveScoped)
@@ -219,13 +218,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/instances", s.handleGenerate)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
-
-	// Legacy unversioned aliases.
-	mux.HandleFunc("POST /solve", s.handleSolveLegacy)
-	mux.HandleFunc("GET /instances", s.handleList)
-	mux.HandleFunc("POST /instances", s.handleGenerate)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, codeNotFound, "no route %s %s (the API is under /v1/)", r.Method, r.URL.Path)
+	})
 	return mux
 }
 
@@ -262,22 +257,6 @@ func (s *Server) handleSolveScoped(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Instance = name
-	s.serveSolve(w, r, req, start)
-}
-
-// handleSolveLegacy serves the pre-versioning POST /solve, where the
-// body names the instance.
-func (s *Server) handleSolveLegacy(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Instance == "" {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "missing instance name")
-		return
-	}
 	s.serveSolve(w, r, req, start)
 }
 

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Stats is the /statsz snapshot: admission counters, live gauges, and the
+// Stats is the /v1/statsz snapshot: admission counters, live gauges, and the
 // latency distribution of completed requests since the last reset. All
 // latency figures are admission-to-response milliseconds measured
 // server-side, so they include queueing and batching delay, not just

@@ -19,13 +19,13 @@ import (
 // deadline header, and returns (status, decoded body). status -1 means
 // the client's own cancellation aborted the transport — the expected
 // shape of a cancelled call.
-func postSolveCtx(t *testing.T, ctx context.Context, url string, req SolveRequest, deadlineMS int) (int, *SolveResponse, *ErrorEnvelope) {
+func postSolveCtx(t *testing.T, ctx context.Context, base string, req SolveRequest, deadlineMS int) (int, *SolveResponse, *ErrorEnvelope) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/solve", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, solveURL(base, req), bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("build request: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestDeadlineEviction(t *testing.T) {
 func TestInvalidDeadlineHeaderRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{BatchWindow: -1})
 	for _, bad := range []string{"zero", "0", "-5", "1.5"} {
-		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/solve",
+		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/instances/path/solve",
 			bytes.NewReader([]byte(`{"instance":"path","nocert":true}`)))
 		hreq.Header.Set(deadlineHeader, bad)
 		resp, err := http.DefaultClient.Do(hreq)

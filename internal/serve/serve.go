@@ -2,14 +2,14 @@
 // keeps workload families and parsed instances resident, admits solve
 // requests into a bounded queue (429 + Retry-After on overflow), coalesces
 // compatible requests into batches dispatched onto the root package's
-// SolveBatchSpecs worker pool, and exposes the results — plus queue/
+// SolveBatchSlots worker pool, and exposes the results — plus queue/
 // latency/throughput metrics — over HTTP/JSON.
 //
 // The serving contract is bit-determinism end to end: a request's seed is
 // used verbatim in its per-slot Spec, so the response is identical to a
 // standalone Solve(ins, spec) no matter how requests were coalesced, how
 // loaded the server was, or which batch composition they landed in
-// (SolveBatchSpecs pins slot i to Solve(instances[i], specs[i]) at every
+// (SolveBatchSlots pins slot i to Solve(instances[i], specs[i]) at every
 // worker count). Batching changes latency, never answers.
 package serve
 
@@ -128,7 +128,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// InstanceInfo describes one resident instance for /instances.
+// InstanceInfo describes one resident instance for /v1/instances.
 type InstanceInfo struct {
 	Name      string `json:"name"`
 	Nodes     int    `json:"n"`
@@ -232,7 +232,7 @@ func New(cfg Config) *Server {
 
 // RegisterInstance makes ins resident under name. The graph is frozen
 // eagerly so concurrent solves never race the lazy staging-to-CSR
-// compaction. Family is recorded for /instances (may be empty).
+// compaction. Family is recorded for /v1/instances (may be empty).
 func (s *Server) RegisterInstance(name string, ins *steiner.Instance, family string) error {
 	if name == "" {
 		return fmt.Errorf("serve: empty instance name")
@@ -300,7 +300,7 @@ func (s *Server) Instances() []InstanceInfo {
 	return infos
 }
 
-// Statsz snapshots the metrics (the /statsz payload). The cache and
+// Statsz snapshots the metrics (the /v1/statsz payload). The cache and
 // arena gauges aggregate over every resident instance.
 func (s *Server) Statsz() Stats {
 	s.inFlightMu.Lock()

@@ -15,8 +15,8 @@ import (
 // Spec is the unified solver configuration: one value selects the
 // algorithm and carries every knob of the simulated execution. The zero
 // value runs the deterministic solver with default settings. All entry
-// points — the CLIs, the benchmark harness, the examples, and the
-// SolveXxx convenience wrappers — funnel through Solve(ins, Spec{...}).
+// points — the CLIs, the benchmark harness, the examples, and the batch
+// and serve layers — funnel through Solve(ins, Spec{...}).
 type Spec struct {
 	// Algorithm names a registered solver ("" = "det"). Built in:
 	//
@@ -65,14 +65,6 @@ type Spec struct {
 	// tests pin this); the knob exists for those tests and for perf A/B
 	// runs.
 	NoWindowRelay bool
-
-	// LegacyScheduler hosts every node program on its own goroutine (the
-	// simulator's channel-based compatibility transport) instead of the
-	// default continuation scheduler that drives suspended programs
-	// in-place. Results are bit-identical either way (the equivalence and
-	// stress tests pin this); the knob exists for those tests and for
-	// perf A/B runs.
-	LegacyScheduler bool
 
 	// NoCertificate skips the centralized dual-oracle run that computes
 	// Result.LowerBound — useful for large perf sweeps where the oracle
@@ -141,8 +133,7 @@ var builtinAlgorithms = map[string]bool{
 //     every other builtin ignores the flag);
 //   - epsilon zeroed for builtins other than "rounded" (they never read it);
 //   - the result-neutral scheduler knobs folded out: Parallelism,
-//     NoFastPath, NoWindowRelay, and LegacyScheduler change how the
-//     simulator schedules work, never what it computes — the equivalence
+//     NoFastPath, and NoWindowRelay change how the simulator schedules work, never what it computes — the equivalence
 //     suite pins Stats, forests, and per-node traces bit-identical across
 //     all of them — and Arena only recycles allocations.
 //
@@ -176,7 +167,6 @@ func (s Spec) Canonical() Spec {
 	c.Parallelism = 0
 	c.NoFastPath = false
 	c.NoWindowRelay = false
-	c.LegacyScheduler = false
 	c.Arena = nil
 	c.Hooks = nil
 	return c
@@ -215,9 +205,6 @@ func (s Spec) options(ctx context.Context) []congest.Option {
 	}
 	if s.NoWindowRelay {
 		opts = append(opts, congest.WithWindowRelay(false))
-	}
-	if s.LegacyScheduler {
-		opts = append(opts, congest.WithGoroutines(true))
 	}
 	if s.Arena != nil {
 		opts = append(opts, congest.WithArenaPool(s.Arena))
